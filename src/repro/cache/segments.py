@@ -1,45 +1,30 @@
 """Segment files: the disk cache's append-only, self-checking record log.
 
-The tier stores every cache entry as one framed record in a numbered
-segment file, reusing the WAL's CRC framing byte for byte:
-
 .. code-block:: text
 
     CSEGv1 <segment_number>\\n      # file header, written once
-    R <seq> <length> <crc32>\\n     # one record header per append
+    R <seq> <length> <crc32>\\n     # one record per append, framed as in the WAL
     <length bytes of JSON payload>\\n
 
-Unlike the WAL — whose records are acknowledged history, so interior
-corruption must *stop the world* — a cache record is always
-re-derivable: the worst a damaged segment may cost is a recompile. The
-failure model is therefore strictly miss-shaped:
-
-* a **torn tail** (final record cut short by a crash mid-append) is
-  ignored by scans and truncated the next time an appender holds the
-  exclusive file lock — the interrupted put simply never happened;
-* **interior corruption** (a bad checksum, malformed header, or
-  sequence gap with further data behind it) **quarantines the whole
-  segment**: its entries become misses and the file is renamed aside,
-  never read again. No code path raises into the serving tier and no
-  damaged payload is ever returned — :func:`read_payload` re-verifies
-  the CRC on every point read, so corruption that lands *after* the
-  initial scan is caught too.
-
-Segment numbers are monotonic; scans apply records in
-``(segment, seq)`` order, so rewritten entries (garbage collection
-copies live records into a fresh, higher-numbered segment before
-deleting the old ones) deterministically win over stale ones.
+Damage follows the cache column of the :mod:`repro.framing` policy
+table: a torn tail is ignored until the next locked append truncates
+it, and interior damage or a sequence gap quarantines the whole
+segment. Nothing raises into the serving tier, and :func:`read_payload`
+re-verifies the CRC on every point read, so damage that lands after the
+scan is caught too. Segment numbers are monotonic and scans apply
+records in ``(segment, seq)`` order, so entries that garbage collection
+rewrites into a fresh, higher-numbered segment win over stale ones.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..store.wal import encode_record
+from .. import framing
+from ..store.wal import RECORD_FORMAT
 
 __all__ = [
     "CacheRecord",
@@ -55,7 +40,6 @@ __all__ = [
 
 _MAGIC = b"CSEGv1"
 _HEADER_RE = re.compile(rb"CSEGv1 (\d+)")
-_RECORD_RE = re.compile(rb"R (\d+) (\d+) (\d+)")
 
 SEGMENT_SUFFIX = ".log"
 QUARANTINE_SUFFIX = ".bad"
@@ -122,17 +106,6 @@ def _fsync_fd(handle) -> None:
     os.fsync(handle.fileno())
 
 
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def create_segment(path: "Path | str", number: int) -> int:
     """Write a fresh segment header; returns the header's byte length."""
     path = Path(path)
@@ -140,19 +113,19 @@ def create_segment(path: "Path | str", number: int) -> int:
     with open(path, "wb") as handle:
         handle.write(header)
         _fsync_fd(handle)
-    _fsync_dir(path.parent)
+    framing.fsync_dir(path.parent)
     return len(header)
 
 
 def scan_segment(
-    path: "Path | str", *, offset: int = 0, expected_seq: int = 1
+    path: "Path | str", *, offset: int = 0, expected_seq: int = 1, number: int = -1
 ) -> SegmentScan:
-    """Scan a segment (or, with *offset* > 0, only its unseen tail).
+    """Scan a segment (or, with *offset* > 0, only its unseen tail, whose
+    records carry *number* since the header is not read).
 
-    Never raises on damage: header problems, checksum failures followed
-    by more data, and sequence gaps all come back as ``corrupt=True``
-    for the caller to quarantine; an unfinished final record comes back
-    as ``torn=True`` with everything before it intact.
+    Never raises on damage: what the cache column of the framing policy
+    table quarantines comes back as ``corrupt=True``, a torn tail as
+    ``torn=True`` with everything before it intact.
     """
     path = Path(path)
     try:
@@ -163,7 +136,6 @@ def scan_segment(
     except OSError:
         return SegmentScan(-1, [], offset, expected_seq, False, True, "unreadable")
     pos = 0
-    number = -1
     if offset == 0:
         header_end = data.find(b"\n")
         if header_end < 0:
@@ -174,63 +146,21 @@ def scan_segment(
             return SegmentScan(-1, [], 0, 1, False, True, "bad header")
         number = int(match.group(1))
         pos = header_end + 1
+    scan = framing.scan(data, RECORD_FORMAT, pos)
     records: "list[CacheRecord]" = []
-    intact_end = pos
-    torn = False
-    corrupt = False
-    reason: "str | None" = None
     seq = expected_seq
-    while pos < len(data):
-        header_end = data.find(b"\n", pos)
-        if header_end < 0:
-            torn, reason = True, "torn record header"
-            break
-        match = _RECORD_RE.fullmatch(data[pos:header_end])
-        if match is None:
-            if header_end == len(data) - 1 and data.find(b"\n", header_end + 1) < 0:
-                torn, reason = True, "garbage final line"
-                break
-            corrupt, reason = True, f"malformed record header at byte {offset + pos}"
-            break
-        rec_seq, length, crc = (int(group) for group in match.groups())
-        body_start = header_end + 1
-        body_end = body_start + length
-        if body_end + 1 > len(data):
-            torn, reason = True, "payload cut short"
-            break
-        payload = data[body_start:body_end]
-        is_last = body_end + 1 == len(data)
-        intact = (
-            data[body_end:body_end + 1] == b"\n" and zlib.crc32(payload) == crc
-        )
-        text: "str | None" = None
-        if intact:
-            try:
-                text = payload.decode("utf-8")
-            except UnicodeDecodeError:
-                intact = False
-        if not intact:
-            if is_last:
-                torn, reason = True, "torn final record"
-                break
-            corrupt, reason = True, f"checksum failure at byte {offset + pos}"
-            break
+    for frame in scan.frames:
+        rec_seq = int(frame.header["seq"])
         if rec_seq != seq:
-            corrupt, reason = (
-                True,
-                f"expected record {seq} at byte {offset + pos}, found {rec_seq}",
-            )
-            break
-        assert text is not None
-        records.append(
-            CacheRecord(number, rec_seq, offset + body_start, length, crc, text)
-        )
+            at = offset + frame.offset
+            reason = f"expected record {seq} at byte {at}, found {rec_seq}"
+            return SegmentScan(number, records, at, seq, False, True, reason)
+        length, crc = int(frame.header["len"]), int(frame.header["crc"])
+        records.append(CacheRecord(number, seq, offset + frame.body_at, length, crc, frame.body))
         seq += 1
-        pos = body_end + 1
-        intact_end = pos
-    return SegmentScan(
-        number, records, offset + intact_end, seq, torn, corrupt, reason
-    )
+    torn, corrupt = scan.damage == framing.TORN, scan.damage == framing.CORRUPT
+    reason = scan.reason and f"{scan.reason} at byte {offset + scan.end}"
+    return SegmentScan(number, records, offset + scan.end, seq, torn, corrupt, reason)
 
 
 def read_payload(
@@ -238,8 +168,8 @@ def read_payload(
 ) -> "str | None":
     """Point-read one payload, re-verifying frame and checksum.
 
-    Returns ``None`` on any damage (short read, missing trailing
-    newline, CRC mismatch, undecodable bytes, unreadable file) — the
+    Returns ``None`` on any damage (an unreadable file, or a frame body
+    :func:`~repro.framing.check_body` refuses or that is not UTF-8) — the
     caller treats that as corruption and quarantines the segment.
     """
     try:
@@ -248,13 +178,11 @@ def read_payload(
             data = handle.read(length + 1)
     except OSError:
         return None
-    if len(data) != length + 1 or data[length:] != b"\n":
-        return None
-    payload = data[:length]
-    if zlib.crc32(payload) != crc:
+    body = framing.check_body(data, 0, length, crc)
+    if body is None:
         return None
     try:
-        return payload.decode("utf-8")
+        return body.decode("utf-8")
     except UnicodeDecodeError:
         return None
 
@@ -280,21 +208,13 @@ def append_records(
         end = handle.tell()
         for index, text in enumerate(texts):
             seq = first_seq + index
-            blob = encode_record(seq, text)
             payload = text.encode("utf-8")
-            header_len = len(blob) - len(payload) - 1
+            header, crc = framing.encode_header(f"R {seq}", payload)
             records.append(
-                CacheRecord(
-                    number,
-                    seq,
-                    end + header_len,
-                    len(payload),
-                    zlib.crc32(payload),
-                    text,
-                )
+                CacheRecord(number, seq, end + len(header), len(payload), crc, text)
             )
-            handle.write(blob)
-            end += len(blob)
+            handle.write(header + payload + b"\n")
+            end += len(header) + len(payload) + 1
         if fsync:
             _fsync_fd(handle)
     return records, end

@@ -563,17 +563,14 @@ class DiskCache:
                     continue
                 if size <= end:
                     continue
-                scan = scan_segment(path, offset=end, expected_seq=next_seq)
-                scan.number = number
+                scan = scan_segment(
+                    path, offset=end, expected_seq=next_seq, number=number
+                )
             if scan.corrupt:
                 self._quarantine(number)
                 continue
             for record in scan.records:
-                self._apply(
-                    CacheRecord(
-                        number, record.seq, record.offset, record.length, record.crc, record.text
-                    )
-                )
+                self._apply(record)
             self._scanned[number] = (scan.intact_end, scan.next_seq)
 
     def _apply(self, record: CacheRecord) -> None:

@@ -1,25 +1,15 @@
 """Replication transports: CRC-framed ship streams, pluggable carriers.
 
-What travels between a primary and its standbys is exactly the durable
-artifact the store already trusts — WAL records (translated source edit
-scripts) plus snapshot payloads for bootstrap. The wire framing
-therefore mirrors the WAL's own discipline::
+What ships is what the store already trusts — WAL records plus snapshot
+payloads for bootstrap — as frames of :mod:`repro.framing`::
 
     F <kind> <length> <crc32>\\n
     <length bytes of JSON payload>\\n
 
-Frames are self-checking and self-delimiting, so every carrier shares
-one failure model, the same one the log has:
-
-* an **incomplete final frame** — a shipper killed mid-record, a spool
-  file truncated by a crash, a socket that died mid-send — is simply
-  *not yet received*: the decoder stops in front of it and reports the
-  clean prefix (the bytes stay buffered/spooled; when the rest arrives
-  the frame completes);
-* a **damaged interior frame** — checksum failure with further data
-  after it — means acknowledged ship traffic was corrupted in flight or
-  at rest, and raises :class:`~repro.errors.ReplicationError` rather
-  than silently skipping history.
+Every carrier follows the feed column of the framing policy table: an
+incomplete final frame is *not yet received* and stays buffered or
+spooled; damage, or checked bytes that are not a JSON object, raises
+:class:`~repro.errors.ReplicationError`.
 
 Three carriers implement the same two-ended interface
 (:class:`ReplicationTransport`: ``send`` frames in, ``drain`` complete
@@ -44,11 +34,11 @@ import json
 import os
 import re
 import socket
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from .. import framing
 from ..errors import ReplicationError
 
 __all__ = [
@@ -61,7 +51,9 @@ __all__ = [
     "FileSpoolTransport",
 ]
 
-_FRAME_RE = re.compile(rb"F ([a-z_]+) (\d+) (\d+)")
+_FRAMES = framing.Format(
+    re.compile(rb"F (?P<kind>[a-z_]+) (?P<len>\d+) (?P<crc>\d+)"), "ship frame"
+)
 
 FRAME_KINDS = ("bootstrap", "checkpoint", "record")
 """What ships: a full document (schema + snapshot), a snapshot alone
@@ -82,62 +74,37 @@ def encode_frame(kind: str, payload: dict) -> bytes:
         raise ReplicationError(
             f"unknown frame kind {kind!r}; ship one of {FRAME_KINDS}"
         )
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    header = f"F {kind} {len(body)} {zlib.crc32(body)}\n".encode("ascii")
-    return header + body + b"\n"
+    return framing.encode(
+        f"F {kind}", json.dumps(payload, sort_keys=True).encode("utf-8")
+    )
 
 
 def decode_frames(data: bytes) -> "tuple[list[Frame], int]":
-    """Parse the complete frames at the front of *data*.
-
-    Returns ``(frames, consumed)`` where *consumed* is the byte offset
-    just past the last complete frame — an incomplete final frame stays
-    unconsumed for the caller to retry once more bytes arrive. A frame
-    that is provably damaged (checksum or header failure with further
-    data after it) raises :class:`~repro.errors.ReplicationError`.
-    """
+    """Parse the complete frames at the front of *data*; returns
+    ``(frames, consumed)``, leaving an incomplete final frame unconsumed
+    until more bytes arrive. Damage (the feed column of the
+    :mod:`repro.framing` policy table) raises ReplicationError."""
+    scan = framing.scan(data, _FRAMES)
     frames: "list[Frame]" = []
-    pos = 0
-    while pos < len(data):
-        header_end = data.find(b"\n", pos)
-        if header_end < 0:
-            break  # header still in flight
-        match = _FRAME_RE.fullmatch(data[pos:header_end])
-        if match is None:
-            raise ReplicationError(
-                f"malformed ship frame header at byte {pos} — the stream "
-                "is not a replication feed or was corrupted"
-            )
-        kind = match.group(1).decode("ascii")
-        length, crc = int(match.group(2)), int(match.group(3))
-        body_start = header_end + 1
-        body_end = body_start + length
-        if body_end + 1 > len(data):
-            break  # body (or trailing newline) still in flight
-        body = data[body_start:body_end]
-        intact = data[body_end:body_end + 1] == b"\n" and zlib.crc32(body) == crc
-        if not intact:
-            if body_end + 1 == len(data):
-                break  # torn final frame: treat as in flight
-            raise ReplicationError(
-                f"ship frame at byte {pos} fails its checksum with further "
-                "data after it — interior corruption, refusing to apply "
-                "anything past it"
-            )
+    for frame in scan.frames:
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
+            payload = json.loads(frame.body.decode("utf-8"))
+        except ValueError as error:
             raise ReplicationError(
-                f"ship frame at byte {pos} carries an unreadable payload "
-                f"({error})"
+                f"ship frame at byte {frame.offset} carries an unreadable "
+                f"payload ({error})"
             ) from error
         if not isinstance(payload, dict):
             raise ReplicationError(
-                f"ship frame at byte {pos} payload is not an object"
+                f"ship frame at byte {frame.offset} payload is not an object"
             )
-        frames.append(Frame(kind=kind, payload=payload))
-        pos = body_end + 1
-    return frames, pos
+        frames.append(Frame(frame.header["kind"].decode("ascii"), payload))
+    if scan.damage == framing.CORRUPT:
+        raise ReplicationError(
+            f"{scan.reason} at byte {scan.end} — interior corruption, "
+            "refusing to apply anything past it"
+        )
+    return frames, scan.end
 
 
 class ReplicationTransport:

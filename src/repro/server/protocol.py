@@ -1,26 +1,16 @@
 """The wire protocol: length-prefixed, CRC-framed JSON messages.
 
-The framing mirrors the WAL's own discipline (and the replication
-transport's, :mod:`repro.replication.transport`)::
+Both directions carry frames of :mod:`repro.framing`::
 
     M <length> <crc32>\\n
     <length bytes of JSON object>\\n
 
-Messages are self-checking and self-delimiting, so the wire shares the
-exact failure model the log already has:
-
-* an **incomplete final message** — a client that went away mid-write,
-  a socket that died mid-send — is simply *not yet received*: the
-  decoder stops in front of it and reports the clean prefix;
-* a **damaged interior message** — a checksum or header failure with
-  further bytes behind it — means acknowledged traffic was corrupted,
-  and raises :class:`~repro.errors.ProtocolError` rather than
-  resynchronising by guesswork; the connection must be dropped.
-
-Both directions use the same frame; a request is a JSON object with an
-``op`` field, a response is ``{"ok": true, "result": …}`` or
-``{"ok": false, "error": …}`` where the error payload comes from
-:func:`repro.errors.error_payload`.
+Damage follows the wire column of the framing policy table: an
+incomplete final message is *not yet received*; anything else raises
+:class:`~repro.errors.ProtocolError`, and the connection must be
+dropped. A request is a JSON object with an ``op`` field, a response is
+``{"ok": true, "result": …}`` or ``{"ok": false, "error": …}`` where the
+error payload comes from :func:`repro.errors.error_payload`.
 """
 
 from __future__ import annotations
@@ -28,8 +18,8 @@ from __future__ import annotations
 import asyncio
 import json
 import re
-import zlib
 
+from .. import framing
 from ..errors import ProtocolError
 
 __all__ = [
@@ -40,11 +30,13 @@ __all__ = [
     "MAX_MESSAGE_BYTES",
 ]
 
-_HEADER_RE = re.compile(rb"M (\d+) (\d+)")
-
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 """Refuse to buffer a single message beyond this — a header declaring a
 larger body is treated as protocol damage, not as a request."""
+
+_MESSAGES = framing.Format(
+    re.compile(rb"M (?P<len>\d+) (?P<crc>\d+)"), "message", limit=MAX_MESSAGE_BYTES
+)
 
 
 def encode_message(obj: dict) -> bytes:
@@ -55,66 +47,29 @@ def encode_message(obj: dict) -> bytes:
             f"message of {len(body)} bytes exceeds the "
             f"{MAX_MESSAGE_BYTES}-byte frame limit"
         )
-    header = f"M {len(body)} {zlib.crc32(body)}\n".encode("ascii")
-    return header + body + b"\n"
+    return framing.encode("M", body)
 
 
 def decode_messages(data: bytes) -> "tuple[list[dict], int]":
-    """Parse the complete messages at the front of *data*.
+    """Parse the complete messages at the front of *data*; returns
+    ``(messages, consumed)``, leaving an incomplete final message
+    unconsumed until more bytes arrive. Damage (the wire column of the
+    :mod:`repro.framing` policy table) raises ProtocolError."""
+    scan = framing.scan(data, _MESSAGES)
+    messages = [_json_object(frame.body, f" at byte {frame.offset}") for frame in scan.frames]
+    if scan.damage == framing.CORRUPT:
+        raise ProtocolError(f"{scan.reason} at byte {scan.end} — dropping the connection")
+    return messages, scan.end
 
-    Returns ``(messages, consumed)`` where *consumed* is the byte
-    offset just past the last complete message — an incomplete final
-    message stays unconsumed for the caller to retry once more bytes
-    arrive. A message that is provably damaged (header or checksum
-    failure with further data after it) raises
-    :class:`~repro.errors.ProtocolError`.
-    """
-    messages: "list[dict]" = []
-    pos = 0
-    while pos < len(data):
-        header_end = data.find(b"\n", pos)
-        if header_end < 0:
-            break  # header still in flight
-        match = _HEADER_RE.fullmatch(data[pos:header_end])
-        if match is None:
-            raise ProtocolError(
-                f"malformed message header at byte {pos} — the stream is "
-                "not a repro serving feed or was corrupted"
-            )
-        length, crc = int(match.group(1)), int(match.group(2))
-        if length > MAX_MESSAGE_BYTES:
-            raise ProtocolError(
-                f"message header at byte {pos} declares {length} bytes, "
-                f"beyond the {MAX_MESSAGE_BYTES}-byte frame limit"
-            )
-        body_start = header_end + 1
-        body_end = body_start + length
-        if body_end + 1 > len(data):
-            break  # body (or trailing newline) still in flight
-        body = data[body_start:body_end]
-        intact = data[body_end:body_end + 1] == b"\n" and zlib.crc32(body) == crc
-        if not intact:
-            if body_end + 1 == len(data):
-                break  # torn final message: treat as in flight
-            raise ProtocolError(
-                f"message at byte {pos} fails its checksum with further "
-                "data after it — interior corruption, dropping the "
-                "connection"
-            )
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as error:
-            raise ProtocolError(
-                f"message at byte {pos} carries an unreadable payload "
-                f"({error})"
-            ) from error
-        if not isinstance(payload, dict):
-            raise ProtocolError(
-                f"message at byte {pos} payload is not an object"
-            )
-        messages.append(payload)
-        pos = body_end + 1
-    return messages, pos
+
+def _json_object(body: bytes, where: str) -> dict:
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError as error:
+        raise ProtocolError(f"message{where} carries an unreadable payload ({error})") from error
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"message{where} payload is not an object")
+    return payload
 
 
 async def read_message(
@@ -127,7 +82,8 @@ async def read_message(
     incomplete message was never received); bytes that are present but
     wrong raise :class:`~repro.errors.ProtocolError`. *header* hands in
     a first line the caller already consumed (the server sniffs it to
-    tell framed traffic from HTTP on one port).
+    tell framed traffic from HTTP on one port). Once the whole message
+    is read, any damage in it is fatal.
     """
     if header is None:
         try:
@@ -138,31 +94,18 @@ async def read_message(
             raise ProtocolError(
                 "message header exceeds the stream limit"
             ) from error
-    match = _HEADER_RE.fullmatch(header[:-1])
-    if match is None:
-        raise ProtocolError(
-            f"malformed message header {header[:64]!r}"
-        )
-    length, crc = int(match.group(1)), int(match.group(2))
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message header declares {length} bytes, beyond the "
-            f"{MAX_MESSAGE_BYTES}-byte frame limit"
-        )
     try:
-        body_and_newline = await reader.readexactly(length + 1)
+        match, length = framing.parse_header(_MESSAGES, header, 0, len(header) - 1)
+    except ValueError as error:
+        raise ProtocolError(f"{error}: {header[:64]!r}") from None
+    try:
+        blob = await reader.readexactly(length + 1)
     except asyncio.IncompleteReadError:
         return None  # torn body: peer died mid-write
-    body = body_and_newline[:-1]
-    if body_and_newline[-1:] != b"\n" or zlib.crc32(body) != crc:
+    body = framing.check_body(blob, 0, length, int(match["crc"]))
+    if body is None:
         raise ProtocolError("message fails its checksum")
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
-        raise ProtocolError(f"message carries an unreadable payload ({error})")
-    if not isinstance(payload, dict):
-        raise ProtocolError("message payload is not an object")
-    return payload
+    return _json_object(body, "")
 
 
 async def write_message(writer: "asyncio.StreamWriter", obj: dict) -> None:

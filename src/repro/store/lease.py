@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import LeaseFencedError, StoreError
+from ..framing import fsync_dir
 
 __all__ = [
     "Lease",
@@ -91,17 +92,6 @@ def lease_path(doc_dir: "Path | str") -> Path:
     return Path(doc_dir) / _FILE
 
 
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def read_lease(path: "Path | str") -> Lease:
     """The current lease; a missing file reads as the never-acquired
     ``Lease(epoch=0, owner=None)`` (documents created before leases
@@ -139,7 +129,7 @@ def _write(path: Path, lease: Lease) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    _fsync_dir(path.parent)
+    fsync_dir(path.parent)
 
 
 def acquire_lease(

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import SnapshotCorruptError, TreeError
+from ..framing import fsync_dir
 from ..xmltree import Tree, tree_from_xml, tree_to_xml
 
 __all__ = ["Snapshot", "snapshot_path", "write_snapshot", "read_snapshot", "list_snapshots"]
@@ -62,17 +63,6 @@ def snapshot_path(directory: "Path | str", seq: int) -> Path:
     """Where the checkpoint at *seq* lives (zero-padded so lexicographic
     listing order is sequence order)."""
     return Path(directory) / f"{seq:0{_PAD}d}{_SUFFIX}"
-
-
-def _fsync_dir(path: Path) -> None:
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def write_snapshot(
@@ -114,7 +104,7 @@ def write_snapshot(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, target)
-    _fsync_dir(directory)
+    fsync_dir(directory)
     return target
 
 

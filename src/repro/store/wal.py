@@ -3,8 +3,7 @@
 Propagation makes every view update a deterministic, side-effect-free
 edit script over the source, so the translated script — not the
 materialized tree — is the natural durable unit: replaying the log
-against the last snapshot reproduces the document byte for byte. The
-format is deliberately textual and self-checking:
+against the last snapshot reproduces the document byte for byte.
 
 .. code-block:: text
 
@@ -12,22 +11,12 @@ format is deliberately textual and self-checking:
     R <seq> <length> <crc32>\\n            # one record header per append
     <length bytes of script term text>\\n  # e.g. Nop.r#n0(Del.a#n1, ...)
 
-``base_seq`` is the absolute sequence number the log starts *after*
-(compaction rewrites the log with a new base; sequence numbers never
-reset for the lifetime of a document). Each record carries the CRC-32
-and byte length of its payload, so a reader can tell exactly how far
-the log is trustworthy:
-
-* a **torn tail** — a final record cut short by a crash mid-append
-  (partial header, short payload, missing trailing newline, or a
-  checksum failure on the *last* record) — is reported via
-  :attr:`WalScan.torn_at` and safely truncated by recovery: the record
-  never finished, so by write-ahead discipline its update was never
-  applied;
-* **interior corruption** — an unreadable record *followed by more
-  data*, or a sequence-number gap — means acknowledged history was
-  damaged, and raises :class:`~repro.errors.WALCorruptError` instead of
-  silently dropping suffixes of the log.
+``base_seq`` is the absolute sequence number the log starts *after*;
+sequence numbers never reset for the lifetime of a document. Damage
+follows the WAL column of the :mod:`repro.framing` policy table: a torn
+tail is reported via :attr:`WalScan.torn_at` for recovery to truncate,
+and interior damage or a sequence gap raises
+:class:`~repro.errors.WALCorruptError`.
 
 :class:`WalWriter` is the append side, implementing the three fsync
 policies of the store (``always`` / ``batch`` / ``off``).
@@ -43,11 +32,11 @@ import os
 import re
 import threading
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .. import framing
 from ..errors import StoreError, WALCorruptError
 from ..obs import child_span as _child_span
 
@@ -65,7 +54,13 @@ __all__ = [
 
 _MAGIC = b"WALv1"
 _HEADER_RE = re.compile(rb"WALv1 (\d+)")
-_RECORD_RE = re.compile(rb"R (\d+) (\d+) (\d+)")
+RECORD_FORMAT = framing.Format(
+    re.compile(rb"R (?P<seq>\d+) (?P<len>\d+) (?P<crc>\d+)"),
+    "record",
+    garbage_tail_torn=True,
+    text=True,
+)
+"""WAL records; cache segment records share the format and its policy."""
 
 FSYNC_POLICIES = ("always", "batch", "off")
 """When appends reach the platter: every record, every N records, never."""
@@ -104,32 +99,9 @@ class WalScan:
         return self.records[-1].seq if self.records else self.base_seq
 
 
-def _fsync_path(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def _fsync_dir(path: Path) -> None:
-    # Directory fsync makes renames/creates durable; not every platform
-    # allows opening a directory, in which case we did our best.
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def encode_record(seq: int, text: str) -> bytes:
     """The exact bytes :class:`WalWriter` appends for (*seq*, *text*)."""
-    payload = text.encode("utf-8")
-    header = f"R {seq} {len(payload)} {zlib.crc32(payload)}\n".encode("ascii")
-    return header + payload + b"\n"
+    return framing.encode(f"R {seq}", text.encode("utf-8"))
 
 
 def rewrite_wal(
@@ -158,7 +130,7 @@ def rewrite_wal(
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    _fsync_dir(path.parent)
+    framing.fsync_dir(path.parent)
 
 
 def create_wal(path: "Path | str", base_seq: int = 0) -> None:
@@ -167,93 +139,47 @@ def create_wal(path: "Path | str", base_seq: int = 0) -> None:
     rewrite_wal(path, base_seq)
 
 
-def _parse_records(
-    data: bytes, pos: int, expected: int, name: str
-) -> "tuple[list[WalRecord], int, int | None]":
-    """Parse contiguous records starting at byte *pos* with sequence
-    numbers from *expected*; returns (records, end_offset, torn_at).
-    The shared body of :func:`scan_wal` (whole file) and
-    :func:`scan_wal_tail` (bytes past a known-good prefix)."""
+def _scan_records(
+    data: bytes, pos: int, base_seq: int, name: str, shift: int = 0
+) -> WalScan:
+    """The records of *data* from byte *pos* on, numbered from
+    ``base_seq + 1``; *shift* makes offsets absolute in a file's tail."""
+    scan = framing.scan(data, RECORD_FORMAT, pos)
     records: list[WalRecord] = []
-    end_offset = pos
-    torn_at: "int | None" = None
-    while pos < len(data):
-        header_end = data.find(b"\n", pos)
-        if header_end < 0:
-            torn_at = pos  # header cut short by the crash
-            break
-        match = _RECORD_RE.fullmatch(data[pos:header_end])
-        if match is None:
-            if header_end == len(data) - 1 and data.find(b"\n", header_end + 1) < 0:
-                torn_at = pos  # garbage final line, nothing after it
-                break
-            raise WALCorruptError(
-                f"{name}: malformed record header at byte {pos} "
-                "with further data after it"
-            )
-        seq, length, crc = (int(group) for group in match.groups())
-        body_start = header_end + 1
-        body_end = body_start + length
-        if body_end + 1 > len(data):
-            torn_at = pos  # payload (or its trailing newline) cut short
-            break
-        payload = data[body_start:body_end]
-        is_last = body_end + 1 == len(data)
-        intact = data[body_end:body_end + 1] == b"\n" and zlib.crc32(payload) == crc
-        text: "str | None" = None
-        if intact:
-            try:
-                text = payload.decode("utf-8")
-            except UnicodeDecodeError:
-                intact = False
-        if not intact:
-            if is_last:
-                torn_at = pos  # classic torn write into the final record
-                break
-            raise WALCorruptError(
-                f"{name}: record {seq} at byte {pos} fails its "
-                "checksum but is not the final record — interior "
-                "corruption, refusing to replay past it"
-            )
+    expected = base_seq + 1
+    for frame in scan.frames:
+        seq = int(frame.header["seq"])
         if seq != expected:
             raise WALCorruptError(
-                f"{name}: expected record {expected} at byte {pos}, "
+                f"{name}: expected record {expected} at byte {shift + frame.offset}, "
                 f"found {seq} — records are missing or reordered"
             )
-        records.append(WalRecord(seq, text))
+        records.append(WalRecord(seq, frame.body))
         expected += 1
-        pos = body_end + 1
-        end_offset = pos
-    return records, end_offset, torn_at
+    if scan.damage == framing.CORRUPT:
+        raise WALCorruptError(
+            f"{name}: {scan.reason} at byte {shift + scan.end} with further "
+            "data after it — interior corruption, refusing to replay past it"
+        )
+    end = shift + scan.end
+    return WalScan(base_seq, tuple(records), end, end if scan.damage else None)
 
 
 def scan_wal(path: "Path | str") -> WalScan:
-    """Read the log, classifying its end (see the module docstring).
-
-    Raises :class:`WALCorruptError` for interior corruption — a broken
-    record with more data after it, a checksum failure before the tail,
-    or a sequence-number gap. A torn tail is *not* an error: it is
-    reported through :attr:`WalScan.torn_at` for the caller to truncate.
-    """
+    """Read the log; interior damage or a sequence gap raises
+    :class:`WALCorruptError`, a torn tail is reported through
+    :attr:`WalScan.torn_at` for the caller to truncate."""
     path = Path(path)
     data = path.read_bytes()
     newline = data.find(b"\n")
-    if newline < 0 or not _HEADER_RE.fullmatch(data[:newline]):
+    header = _HEADER_RE.fullmatch(data[:newline]) if newline >= 0 else None
+    if header is None:
         raise WALCorruptError(
             f"{path.name}: missing or malformed WAL header "
             "(the header is written and fsynced at creation; a bad one "
             "means the file is not a WAL or was overwritten)"
         )
-    base_seq = int(_HEADER_RE.fullmatch(data[:newline]).group(1))
-    records, end_offset, torn_at = _parse_records(
-        data, newline + 1, base_seq + 1, path.name
-    )
-    return WalScan(
-        base_seq=base_seq,
-        records=tuple(records),
-        end_offset=end_offset,
-        torn_at=torn_at,
-    )
+    return _scan_records(data, newline + 1, int(header.group(1)), path.name)
 
 
 def scan_wal_tail(
@@ -276,13 +202,7 @@ def scan_wal_tail(
             )
         handle.seek(offset)
         data = handle.read()
-    records, end_offset, torn_at = _parse_records(data, 0, last_seq + 1, path.name)
-    return WalScan(
-        base_seq=last_seq,
-        records=tuple(records),
-        end_offset=offset + end_offset,
-        torn_at=None if torn_at is None else offset + torn_at,
-    )
+    return _scan_records(data, 0, last_seq, path.name, offset)
 
 
 def truncate_torn_tail(path: "Path | str", scan: WalScan) -> bool:

@@ -37,14 +37,6 @@ class TestFraming:
         with pytest.raises(ReplicationError, match="unknown frame kind"):
             encode_frame("gossip", {})
 
-    @pytest.mark.parametrize("cut", [1, 5, 20, -1])
-    def test_incomplete_final_frame_is_left_in_flight(self, cut):
-        whole = encode_frame("record", PAYLOADS[0])
-        data = whole + encode_frame("record", PAYLOADS[1])[:cut]
-        frames, consumed = decode_frames(data)
-        assert len(frames) == 1
-        assert consumed == len(whole)
-
     def test_interior_corruption_is_fatal(self):
         first = bytearray(encode_frame("record", PAYLOADS[0]))
         first[-3] ^= 0xFF  # flip a payload byte: checksum now fails

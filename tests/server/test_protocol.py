@@ -37,21 +37,6 @@ class TestFraming:
         assert int(length) == len(body)
         assert int(crc) == zlib.crc32(body)
 
-    def test_torn_final_message_stays_unconsumed(self):
-        wire = encode_message({"op": "ping"})
-        for cut in range(1, len(wire)):
-            messages, consumed = decode_messages(wire[:cut])
-            assert messages == []
-            assert consumed == 0
-
-    def test_torn_tail_after_complete_prefix(self):
-        first = encode_message({"n": 1})
-        second = encode_message({"n": 2})
-        data = first + second[:-3]
-        messages, consumed = decode_messages(data)
-        assert [m["n"] for m in messages] == [1]
-        assert consumed == len(first)
-
     def test_interior_corruption_is_fatal(self):
         first = bytearray(encode_message({"n": 1}))
         first[len(first) // 2] ^= 0xFF  # flip a payload byte
