@@ -1,9 +1,11 @@
-"""A suite-wide hang guard for machines without pytest-timeout.
+"""A repository-wide hang guard for machines without pytest-timeout.
 
 ``pyproject.toml`` sets ``timeout = 300`` for pytest-timeout, which CI
 installs. Where the plugin is missing, this file registers the
 ``timeout`` key, so pytest does not warn about an unknown option, and
-enforces it with :func:`faulthandler.dump_traceback_later`. A test that
+enforces it with :func:`faulthandler.dump_traceback_later`. It sits at
+the root of the checkout so that every suite run from there loads it:
+``tests/``, ``servebench/tests`` and ``benchmarks/`` alike. A test that
 runs past the ceiling (a deadlocked socket or thread, say) dumps every
 thread's stack to stderr and ends the run with a failing status instead
 of stalling it. With the plugin installed, nothing here is active.

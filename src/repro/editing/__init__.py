@@ -7,11 +7,13 @@ Public surface:
   view into a single script.
 * :class:`Op`, :class:`EditLabel`, :func:`ins`, :func:`dele`,
   :func:`nop` — the operation alphabet.
+* :func:`round_trip_term` — a script's term text, checked to read back
+  as the same script (what the journal and the disk memo write).
 """
 
 from .builder import UpdateBuilder
 from .ops import EditLabel, Op, dele, ins, nop, parse_edit_label, ren
-from .script import EditScript
+from .script import EditScript, round_trip_term
 
 __all__ = [
     "EditScript",
@@ -23,4 +25,5 @@ __all__ = [
     "nop",
     "ren",
     "parse_edit_label",
+    "round_trip_term",
 ]

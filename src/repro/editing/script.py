@@ -17,13 +17,40 @@ side-effect-freeness.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from ..errors import InvalidScriptError
+from ..errors import InvalidScriptError, ScriptError, TreeError
 from ..xmltree import NodeId, Tree, parse_term
 from .ops import EditLabel, Op, dele, ins, nop, parse_edit_label, ren
 
-__all__ = ["EditScript"]
+__all__ = ["EditScript", "round_trip_term"]
+
+_EDIT_LABELS: "dict[str, EditLabel]" = {}
+_EDIT_LABELS_LIMIT = 4096
+
+
+def _edit_labels(texts: "Iterable[str]") -> "dict[str, EditLabel]":
+    """Map each distinct compact label text (``Ins.a``) in *texts* to
+    its immutable :class:`EditLabel`.
+
+    A script of thousands of nodes carries a few dozen distinct labels
+    (the schema alphabet times the operations), so each is parsed once
+    per process and its instance shared through a table keyed by the
+    text; a label parse and a dataclass construction per node become a
+    dictionary lookup. The table is cleared when it reaches its bound,
+    so arbitrary client labels cannot grow it without limit.
+    """
+    table = _EDIT_LABELS
+    labels: "dict[str, EditLabel]" = {}
+    for text in dict.fromkeys(texts):  # document order: the first bad label is reported
+        label = table.get(text)
+        if label is None:
+            label = parse_edit_label(text)
+            if len(table) >= _EDIT_LABELS_LIMIT:
+                table.clear()
+            table[text] = label
+        labels[text] = label
+    return labels
 
 
 class EditScript:
@@ -34,7 +61,7 @@ class EditScript:
     :meth:`phantom`, :meth:`assemble`, or :meth:`parse`.
     """
 
-    __slots__ = ("_tree", "_input", "_output", "_cost")
+    __slots__ = ("_tree", "_input", "_output", "_cost", "_term")
 
     def __init__(self, tree: Tree) -> None:
         """Wrap a tree whose labels are :class:`EditLabel`; validates."""
@@ -42,6 +69,7 @@ class EditScript:
         self._input: Tree | None = None
         self._output: Tree | None = None
         self._cost: int | None = None
+        self._term: str | None = None
         self._validate()
 
     @classmethod
@@ -59,28 +87,38 @@ class EditScript:
         self._input = None
         self._output = None
         self._cost = None
+        self._term = None
         return self
 
     def _validate(self) -> None:
-        for node in self._tree.nodes():
-            label = self._tree.label(node)
+        tree = self._tree
+        if tree.is_empty:
+            return
+        labels = tree._labels
+        children = tree._children
+        stack = [tree.root]
+        while stack:  # preorder, so the first offender is reported
+            node = stack.pop()
+            label = labels[node]
             if not isinstance(label, EditLabel):
                 raise InvalidScriptError(
                     f"script node {node!r} has non-edit label {label!r}"
                 )
-            op = label.op
-            if op is Op.NOP:
+            kids = children.get(node)
+            if not kids:
                 continue
-            for kid in self._tree.children(node):
-                kid_op = self._tree.label(kid).op
-                if op is Op.INS and kid_op is not Op.INS:
-                    raise InvalidScriptError(
-                        f"descendant {kid!r} of inserting node {node!r} is {kid_op}"
-                    )
-                if op is Op.DEL and kid_op is not Op.DEL:
-                    raise InvalidScriptError(
-                        f"descendant {kid!r} of deleting node {node!r} is {kid_op}"
-                    )
+            op = label.op
+            if op is Op.INS or op is Op.DEL:
+                for kid in kids:
+                    # a kid without an edit label is refused when visited
+                    kid_op = getattr(labels[kid], "op", op)
+                    if kid_op is not op:
+                        raise InvalidScriptError(
+                            f"descendant {kid!r} of "
+                            f"{'inserting' if op is Op.INS else 'deleting'} "
+                            f"node {node!r} is {kid_op}"
+                        )
+            stack.extend(reversed(kids))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -142,7 +180,8 @@ class EditScript:
         :func:`repro.xmltree.parse_term`.
         """
         raw = parse_term(text, id_prefix=id_prefix)
-        return cls(raw.map_labels(parse_edit_label))
+        labels = _edit_labels(raw._labels.values())
+        return cls(raw.map_labels(labels.__getitem__))
 
     def to_packed(self) -> dict:
         """A JSON-ready flat encoding: ``{"root", "nodes"}`` with one
@@ -366,8 +405,22 @@ class EditScript:
         return self._tree.map_labels(str).shape()
 
     def to_term(self, with_ids: bool = True) -> str:
-        """Compact term notation accepted back by :meth:`parse`."""
-        return self._tree.map_labels(lambda lab: lab.encode()).to_term(with_ids)
+        """Compact term notation accepted back by :meth:`parse`.
+
+        The form with identifiers is the one the journal, the wire and
+        the replication feed carry; it is rendered once per script and
+        kept (scripts are immutable).
+        """
+        if with_ids and self._term is not None:
+            return self._term
+        tree = self._tree
+        if tree.is_empty:
+            return "()"
+        labels = tree._labels
+        if not with_ids:
+            return tree._term_text(lambda node: labels[node].encode())
+        self._term = tree._term_text(lambda node: f"{labels[node].encode()}#{node}")
+        return self._term
 
     def pretty(self, with_ids: bool = True) -> str:
         """Multi-line rendering with ``Ins(a)``-style labels."""
@@ -387,3 +440,28 @@ EditScript.ins = staticmethod(ins)  # type: ignore[attr-defined]
 EditScript.dele = staticmethod(dele)  # type: ignore[attr-defined]
 EditScript.nop = staticmethod(nop)  # type: ignore[attr-defined]
 EditScript.ren = staticmethod(ren)  # type: ignore[attr-defined]
+
+
+def round_trip_term(script: EditScript) -> str:
+    """The term text of *script*, checked to parse back to an equal
+    script.
+
+    What is written for a later reader (the journal, the disk memo)
+    must read back as exactly this script: XML allows node identifiers
+    that term notation cannot carry (spaces, commas), and such a script
+    has to be refused when it is written, not when it is replayed.
+    Raises :class:`~repro.errors.ScriptError` when it cannot be.
+    """
+    text = script.to_term()
+    try:
+        reparsed = EditScript.parse(text)
+    except (ScriptError, TreeError) as error:
+        raise InvalidScriptError(
+            f"script does not survive the term-notation round trip ({error})"
+        ) from error
+    if reparsed != script:
+        raise InvalidScriptError(
+            "script re-parses differently — node identifiers are not "
+            "term-notation-safe"
+        )
+    return text

@@ -56,7 +56,7 @@ from .dtd import (
     minimal_sizes,
     view_dtd,
 )
-from .editing import EditScript
+from .editing import EditScript, round_trip_term
 from .graphutil import cheapest_path
 from .obs import span as _span
 from .inversion import InversionGraphs, inversion_graphs
@@ -797,9 +797,7 @@ class ViewEngine:
         try:
             from .cache import memo_script_key
 
-            term = script.to_term()
-            if EditScript.parse(term) != script:
-                return
+            term = round_trip_term(script)  # a ScriptError skips the entry
             packed = script.to_packed()
             if EditScript.from_packed(packed) != script:
                 packed = None

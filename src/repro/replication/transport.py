@@ -260,10 +260,16 @@ class FileSpoolTransport(ReplicationTransport):
             data = self._path.read_bytes()
         except FileNotFoundError:
             return
-        _, consumed = decode_frames(data)
-        if consumed < len(data):
+        # the frame checks alone find the tail; payloads need no decode
+        scan = framing.scan(data, _FRAMES)
+        if scan.damage == framing.CORRUPT:
+            raise ReplicationError(
+                f"{scan.reason} at byte {scan.end} of spool {self._path} — "
+                "interior corruption, refusing to append after it"
+            )
+        if scan.end < len(data):
             with open(self._path, "r+b") as handle:
-                handle.truncate(consumed)
+                handle.truncate(scan.end)
                 handle.flush()
                 os.fsync(handle.fileno())
 

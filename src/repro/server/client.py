@@ -11,6 +11,7 @@ switch on exception types.
 from __future__ import annotations
 
 import socket
+from collections import deque
 
 from ..errors import ProtocolError, ServerError
 from .protocol import decode_messages, encode_message
@@ -40,6 +41,9 @@ class ServeClient:
     def __init__(self, host: str, port: int, *, timeout: float = 60.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._buffer = bytearray()
+        # answers decoded from the buffer but not yet returned: one recv
+        # may carry several frames
+        self._answers: "deque[dict]" = deque()
         #: ``trace_id`` of the last answered request (``None`` when the
         #: server traces nothing and the caller supplied none) — look it
         #: up in the server's ``/debug/traces`` to see where time went.
@@ -55,17 +59,19 @@ class ServeClient:
         self.close()
 
     def _read_response(self) -> dict:
-        while True:
+        while not self._answers:
             messages, consumed = decode_messages(bytes(self._buffer))
             if messages:
                 del self._buffer[:consumed]
-                return messages[0]
+                self._answers.extend(messages)
+                continue
             chunk = self._sock.recv(65536)
             if not chunk:
                 raise ProtocolError(
                     "server closed the connection before answering"
                 )
             self._buffer.extend(chunk)
+        return self._answers.popleft()
 
     def request(self, op: str, **fields) -> dict:
         """One round trip; returns the result payload or raises

@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from ..dtd import DTD, parse_dtd, serialize_dtd
-from ..editing import EditScript
+from ..editing import EditScript, round_trip_term
 from ..errors import (
     DocumentExistsError,
     RecoveryError,
@@ -829,23 +829,16 @@ class DurableSession:
             # lands, or the document's history forks.
             if self._lease is not None:
                 verify_lease(self._lease_path, self._lease)
-            text = script.to_term()
             # Append only what replay can read back: a document whose node
             # identifiers fall outside term notation (spaces, commas — XML
             # attributes allow them) must fail *here*, before the update is
             # acknowledged, not at recovery time.
             try:
-                reparsed = EditScript.parse(text)
-            except (ScriptError, TreeError) as error:
+                text = round_trip_term(script)
+            except ScriptError as error:
                 raise StoreError(
-                    "refusing to journal a propagation whose script does not "
-                    f"survive the term-notation round trip ({error})"
+                    f"refusing to journal a propagation: {error}"
                 ) from error
-            if reparsed != script:
-                raise StoreError(
-                    "refusing to journal a propagation whose script re-parses "
-                    "differently — node identifiers are not term-notation-safe"
-                )
             self._writer.append(text)
         self._store._notify_append(self.doc_id, self._writer.last_seq)
 

@@ -725,16 +725,38 @@ class Tree:
         """Term notation, e.g. ``r#n0(a#n1, b#n2)`` (or ``r(a, b)``)."""
         if self._root is None:
             return "()"
+        labels = self._labels
+        if not with_ids:
+            return self._term_text(labels.__getitem__)
+        return self._term_text(lambda node: f"{labels[node]}#{node}")
 
-        def render(node: NodeId) -> str:
-            label = self._labels[node]
-            head = f"{label}#{node}" if with_ids else label
-            kids = self._children.get(node, ())
-            if not kids:
-                return head
-            return head + "(" + ", ".join(render(kid) for kid in kids) + ")"
-
-        return render(self._root)
+    def _term_text(self, head: "Callable[[NodeId], str]") -> str:
+        """Term notation of a nonempty tree with *head* rendering each
+        node: ``head(root)(head(kid), ...)``. One iterative preorder
+        pass, so any depth renders."""
+        children = self._children
+        out = [head(self._root)]
+        append = out.append
+        kids = children.get(self._root)
+        if not kids:
+            return out[0]
+        append("(")
+        stack = [iter(kids)]
+        while stack:
+            for node in stack[-1]:
+                append(head(node))
+                kids = children.get(node)
+                if kids:
+                    append("(")
+                    stack.append(iter(kids))
+                    break
+                append(", ")
+            else:
+                stack.pop()
+                out[-1] = ")"  # the ", " after the last sibling
+                if stack:
+                    append(", ")
+        return "".join(out)
 
     def pretty(self, with_ids: bool = True, indent: str = "  ") -> str:
         """A multi-line ASCII rendering, one node per line."""

@@ -132,6 +132,37 @@ class TestFileSpoolTransport:
         reader = FileSpoolTransport(path)
         assert [f.payload for f in reader.drain()] == [PAYLOADS[0], PAYLOADS[2]]
 
+    def test_tail_repair_reads_frames_without_decoding_payloads(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.replication import transport
+
+        path = tmp_path / "s.spool"
+        spool = FileSpoolTransport(path)
+        spool.send("record", PAYLOADS[0])
+        path.write_bytes(path.read_bytes() + encode_frame("record", PAYLOADS[1])[:-7])
+
+        def no_decode(data):
+            raise AssertionError("tail repair decoded the spool's payloads")
+
+        monkeypatch.setattr(transport, "decode_frames", no_decode)
+        FileSpoolTransport(path).send("record", PAYLOADS[2])
+        monkeypatch.undo()
+        reader = FileSpoolTransport(path)
+        assert [f.payload for f in reader.drain()] == [PAYLOADS[0], PAYLOADS[2]]
+
+    def test_interior_corruption_refuses_the_append(self, tmp_path):
+        path = tmp_path / "s.spool"
+        spool = FileSpoolTransport(path)
+        spool.send("record", PAYLOADS[0])
+        spool.send("record", PAYLOADS[1])
+        data = bytearray(path.read_bytes())
+        data[data.index(b"Nop.r#n0")] ^= 0x01  # a flipped byte in frame 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(ReplicationError, match="interior corruption"):
+            FileSpoolTransport(path).send("record", PAYLOADS[2])
+        assert path.read_bytes() == bytes(data)  # nothing truncated or appended
+
     def test_rewind_replays_from_the_start(self, tmp_path):
         spool = FileSpoolTransport(tmp_path / "s.spool")
         spool.send("record", PAYLOADS[0])

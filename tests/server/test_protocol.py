@@ -4,11 +4,14 @@ Torn final message = peer death, wait for the rest; damaged interior
 message = drop the connection. Exactly the log's failure model.
 """
 
+import socket
+import threading
 import zlib
 
 import pytest
 
 from repro.errors import ProtocolError
+from repro.server import ServeClient
 from repro.server.protocol import (
     MAX_MESSAGE_BYTES,
     decode_messages,
@@ -60,3 +63,35 @@ class TestFraming:
         wire = f"M {MAX_MESSAGE_BYTES + 1} 0\n".encode() + b"x"
         with pytest.raises(ProtocolError, match="frame limit"):
             decode_messages(wire)
+
+
+class TestServeClient:
+    def test_answers_arriving_in_one_segment_are_all_kept(self):
+        """A peer may deliver several framed answers in one segment; the
+        client must hand each to the request it answers, not drop all
+        but the first."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def peer():
+            conn, _ = listener.accept()
+            with conn:
+                received = b""
+                while not decode_messages(received)[0]:
+                    received += conn.recv(65536)
+                conn.sendall(
+                    encode_message({"ok": True, "result": {"n": 1}})
+                    + encode_message({"ok": True, "result": {"n": 2}})
+                )
+                while conn.recv(65536):  # until the client hangs up
+                    pass
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        try:
+            with ServeClient("127.0.0.1", port, timeout=10.0) as client:
+                assert client.request("ping") == {"n": 1}
+                assert client.request("ping") == {"n": 2}
+        finally:
+            thread.join(timeout=10.0)
+            listener.close()
